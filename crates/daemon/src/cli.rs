@@ -20,34 +20,35 @@
 //! ```
 //!
 //! The state directory defaults to `./ftsimd-state`, overridable with
-//! `--state` or the `FTSIMD_STATE` environment variable. `submit`
-//! prints the job id alone on stdout (scripts capture it; the human
-//! detail goes to stderr) and deduplicates byte-identical specs by
-//! attaching to the existing job. `results` prints a finished job's
-//! grid-order CSV verbatim; for a job still in flight it merges the
-//! streamed records into grid order and reports the gaps on stderr —
-//! or, with `--watch`, follows the job's `cells.csv` and streams each
-//! record as it completes (`--interval` sets the poll cadence).
-//! `report` runs the `ftsim-analysis` layer over a job's records:
-//! outcome taxonomy (masked / detected / SDC / hang), per-site
-//! sensitivity with Wilson intervals, detection-latency distributions,
-//! and MTTF extrapolation — `--json` renders it as a JSON document.
+//! `--state` or the `FTSIMD_STATE` environment variable; `--remote
+//! ADDR` (or `FTSIMD_REMOTE`) targets a `serve --listen` daemon instead.
 //!
-//! **Remote mode.** Every verb except `serve` also speaks to a running
-//! `ftsimd serve --listen <addr>` over its HTTP API when given
-//! `--remote <addr>` (or `FTSIMD_REMOTE`): the client touches no state
-//! directory at all — submissions, listings, streamed results and
-//! reports all travel over the socket. `stop` with a job id pauses that
-//! job; without one it shuts the serving daemon down.
+//! The CLI only parses arguments and formats. Each shared verb is one
+//! function in `verbs.rs`: with a state directory the CLI calls
+//! it in process, with `--remote` it calls the matching HTTP route,
+//! which runs the same function on the server. Both yield the same
+//! document, and one formatter per verb prints it, so a verb's stdout
+//! is byte-identical in the two modes. The remote client touches no
+//! state directory at all.
+//!
+//! `submit` prints the job id alone on stdout (scripts capture it; the
+//! human detail goes to stderr) and deduplicates byte-identical specs
+//! by attaching to the existing job. `results` prints a job's records
+//! as grid-order CSV (the canonical `results.csv` once done, the merged
+//! streamed records before); `--watch` streams each record as it
+//! completes. `report` runs the `ftsim-analysis` layer over the same
+//! records. `stop` with a job id pauses that job; without one it shuts
+//! the serving daemon down. `serve`, `gc`, `profile` and `trace
+//! --follow` work on a local state directory only.
 
-use crate::fabric::{family_progress, merged_records, LeaseMode};
+use crate::fabric::LeaseMode;
 use crate::gc::{gc_pass, GcOptions};
 use crate::http::{http_request, http_stream};
 use crate::runner::{install_signal_handlers, serve, ServeOptions};
-use crate::spec::JobSpec;
-use crate::store::{Job, JobState, JobStore, QuotaPolicy};
-use ftsim::harness::{from_csv, from_csv_tolerant_prefix, to_csv, to_json, RunRecord};
+use crate::store::{DaemonError, JobStore, QuotaPolicy};
+use crate::verbs;
 use ftsim_stats::JsonValue;
+use std::io::Write;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -291,25 +292,93 @@ fn open_store(args: &Args) -> Result<JobStore, String> {
 }
 
 // ---------------------------------------------------------------------
-// Remote plumbing.
+// Where a verb runs.
 
-/// Performs one remote request, turning non-2xx responses (which carry
-/// a JSON `{"error": ...}` body) into CLI errors.
-fn remote_call(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result<String, String> {
-    let (code, body) = http_request(addr, method, path, body)?;
-    if (200..300).contains(&code) {
-        return Ok(body);
-    }
-    let detail = JsonValue::parse(&body)
-        .ok()
-        .and_then(|v| v.get("error").and_then(|e| e.as_str().map(String::from)))
-        .unwrap_or(body);
-    Err(format!("remote {addr}: {detail} (http {code})"))
+/// The store a verb runs against: a local state directory, or the
+/// `serve --listen` daemon at an address.
+enum Target {
+    Local(JobStore),
+    Remote(String),
 }
 
-fn remote_json(addr: &str, path: &str) -> Result<JsonValue, String> {
-    let body = remote_call(addr, "GET", path, None)?;
-    JsonValue::parse(&body).map_err(|e| format!("remote {addr}: bad response: {e}"))
+impl Target {
+    fn open(args: &Args) -> Result<Self, String> {
+        match &args.remote {
+            Some(addr) => Ok(Target::Remote(addr.clone())),
+            None => open_store(args).map(Target::Local),
+        }
+    }
+
+    /// Runs one verb and returns its body: `local` against the store,
+    /// or the `method path` route (which runs the same verb server-side).
+    /// A remote non-2xx response carries a JSON `{"error": ...}` body,
+    /// which becomes the error message.
+    fn call(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        local: impl FnOnce(&JobStore) -> Result<String, DaemonError>,
+    ) -> Result<String, String> {
+        let addr = match self {
+            Target::Local(store) => return local(store).map_err(|e| e.to_string()),
+            Target::Remote(addr) => addr,
+        };
+        let (code, body) = http_request(addr, method, path, body)?;
+        if (200..300).contains(&code) {
+            return Ok(body);
+        }
+        let detail = JsonValue::parse(&body)
+            .ok()
+            .and_then(|v| v.get("error").and_then(|e| e.as_str().map(String::from)))
+            .unwrap_or(body);
+        Err(format!("remote {addr}: {detail} (http {code})"))
+    }
+
+    /// [`call`](Self::call) for the verbs whose body is a JSON document.
+    fn json(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        local: impl FnOnce(&JobStore) -> Result<JsonValue, DaemonError>,
+    ) -> Result<JsonValue, String> {
+        let text = self.call(method, path, body, |store| local(store).map(|d| d.render()))?;
+        JsonValue::parse(&text).map_err(|e| format!("{self}: bad response: {e}"))
+    }
+
+    /// Runs a watch verb, printing each line it streams until it ends or
+    /// stdout closes (`ftsimd results --watch | head` ends cleanly).
+    fn watch(
+        &self,
+        path: &str,
+        local: impl FnOnce(&JobStore, verbs::Sink) -> Result<(), DaemonError>,
+    ) -> Result<(), String> {
+        let stdout = std::io::stdout();
+        let mut out = stdout.lock();
+        let mut sink = |line: &str| writeln!(out, "{line}").and_then(|()| out.flush()).is_ok();
+        match self {
+            Target::Local(store) => local(store, &mut sink).map_err(|e| e.to_string()),
+            Target::Remote(addr) => match http_stream(addr, path, &mut sink)? {
+                200 => Ok(()),
+                code => Err(format!("remote {addr}: watch failed (http {code})")),
+            },
+        }
+    }
+}
+
+impl std::fmt::Display for Target {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Target::Local(store) => write!(f, "{}", store.root().display()),
+            Target::Remote(addr) => write!(f, "{addr}"),
+        }
+    }
+}
+
+/// Prints a body, ignoring a closed stdout (`ftsimd results | head`).
+fn print_body(text: &str) {
+    let _ = std::io::stdout().lock().write_all(text.as_bytes());
 }
 
 fn str_of(doc: &JsonValue, key: &str) -> String {
@@ -331,30 +400,16 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     let [path] = args.positional.as_slice() else {
         return Err("submit takes exactly one spec file".to_string());
     };
+    // The verb validates; the client only reads the file.
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading spec {path}: {e}"))?;
-    if let Some(addr) = args.remote() {
-        // The server validates; the client only reads the file.
-        let doc = JsonValue::parse(&remote_call(addr, "POST", "/jobs", Some(&text))?)
-            .map_err(|e| format!("remote {addr}: bad response: {e}"))?;
-        let id = str_of(&doc, "id");
-        if doc.get("created").and_then(|v| v.as_bool()) == Some(true) {
-            eprintln!(
-                "ftsimd: submitted job {id} ({} cells) to {addr}",
-                u64_of(&doc, "cells_total")
-            );
-        } else {
-            eprintln!("ftsimd: identical spec already submitted as {id}; attaching");
-        }
-        println!("{id}");
-        return Ok(());
-    }
-    let spec = JobSpec::parse(&text).map_err(|e| e.to_string())?;
-    let store = open_store(args)?;
-    let (id, created) = store.submit(&spec).map_err(|e| e.to_string())?;
-    if created {
+    let doc = Target::open(args)?.json("POST", "/jobs", Some(&text), |store| {
+        verbs::submit(store, &text)
+    })?;
+    let id = str_of(&doc, "id");
+    if doc.get("created").and_then(|v| v.as_bool()) == Some(true) {
         eprintln!(
             "ftsimd: submitted job {id} ({} cells)",
-            cells_of(&store, &id)
+            u64_of(&doc, "cells_total")
         );
     } else {
         eprintln!("ftsimd: identical spec already submitted as {id}; attaching");
@@ -363,11 +418,218 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cells_of(store: &JobStore, id: &str) -> String {
-    store
-        .job(id)
-        .and_then(|job| store.load_status(&job))
-        .map_or_else(|_| "?".to_string(), |s| s.cells_total.to_string())
+fn cmd_jobs(args: &Args) -> Result<(), String> {
+    args.ensure_flags(&[])?;
+    if !args.positional.is_empty() {
+        return Err("jobs takes no positional arguments".to_string());
+    }
+    let target = Target::open(args)?;
+    let doc = target.json("GET", "/jobs", None, verbs::jobs)?;
+    let entries = doc
+        .get("jobs")
+        .and_then(|j| j.as_arr())
+        .ok_or("response has no jobs array")?;
+    if entries.is_empty() {
+        println!("no jobs in {target}");
+    }
+    for e in entries {
+        let submitter = str_of(e, "submitter");
+        println!(
+            "{:<28} {:<8} {:>6}/{:<6} {:<12} {}",
+            str_of(e, "id"),
+            str_of(e, "state"),
+            u64_of(e, "cells_done"),
+            u64_of(e, "cells_total"),
+            if submitter.is_empty() {
+                "-"
+            } else {
+                &submitter
+            },
+            e.get("error").and_then(|v| v.as_str()).unwrap_or("")
+        );
+    }
+    Ok(())
+}
+
+/// `status` without a job id is `jobs`.
+fn cmd_status(args: &Args) -> Result<(), String> {
+    args.ensure_flags(&[])?;
+    let id = match args.positional.as_slice() {
+        [] => return cmd_jobs(args),
+        [id] => id,
+        _ => return Err("status takes at most one job id".to_string()),
+    };
+    let doc = Target::open(args)?.json("GET", &format!("/jobs/{id}/status"), None, |store| {
+        verbs::status(store, id)
+    })?;
+    println!("job:    {id}");
+    println!("state:  {}", str_of(&doc, "state"));
+    println!(
+        "cells:  {}/{}",
+        u64_of(&doc, "cells_done"),
+        u64_of(&doc, "cells_total")
+    );
+    let error = str_of(&doc, "error");
+    if !error.is_empty() && error != "?" {
+        println!("error:  {error}");
+    }
+    if let Some(families) = doc.get("families").and_then(|f| f.as_arr()) {
+        println!("families:");
+        for f in families {
+            println!(
+                "  {:<10} budget {:>7}  {:<10} {:>4}/{}",
+                str_of(f, "workload"),
+                u64_of(f, "budget"),
+                str_of(f, "model"),
+                u64_of(f, "done"),
+                u64_of(f, "total")
+            );
+        }
+    }
+    Ok(())
+}
+
+fn cmd_results(args: &Args) -> Result<(), String> {
+    args.ensure_flags(&["--json", "--watch", "--poll-ms", "--interval"])?;
+    let [id] = args.positional.as_slice() else {
+        return Err("results takes exactly one job id".to_string());
+    };
+    if args.flag("--watch") && args.flag("--json") {
+        return Err("--watch streams CSV rows; it cannot combine with --json".to_string());
+    }
+    let target = Target::open(args)?;
+    if args.flag("--watch") {
+        let ms = args.interval_ms();
+        return target.watch(
+            &format!("/jobs/{id}/results?watch&interval={ms}"),
+            |store, sink| {
+                verbs::watch_results(store, id, Duration::from_millis(ms), sink, &|| false)
+            },
+        );
+    }
+    let json = args.flag("--json");
+    let path = format!("/jobs/{id}/results{}", if json { "?json" } else { "" });
+    print_body(&target.call("GET", &path, None, |store| verbs::results(store, id, json))?);
+    Ok(())
+}
+
+fn cmd_report(args: &Args) -> Result<(), String> {
+    args.ensure_flags(&["--json", "--watch", "--poll-ms", "--interval"])?;
+    let [id] = args.positional.as_slice() else {
+        return Err("report takes exactly one job id".to_string());
+    };
+    if args.flag("--watch") && args.flag("--json") {
+        return Err("--watch already streams JSON snapshots; drop --json".to_string());
+    }
+    let target = Target::open(args)?;
+    if args.flag("--watch") {
+        let ms = args.interval_ms();
+        return target.watch(
+            &format!("/jobs/{id}/report?watch&interval={ms}"),
+            |store, sink| {
+                verbs::watch_report(store, id, Duration::from_millis(ms), sink, &|| false)
+            },
+        );
+    }
+    let text = !args.flag("--json");
+    let path = format!(
+        "/jobs/{id}/report{}",
+        if text { "?format=text" } else { "" }
+    );
+    print_body(&target.call("GET", &path, None, |store| verbs::report(store, id, text))?);
+    Ok(())
+}
+
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    args.ensure_flags(&["-n", "--follow", "--poll-ms", "--interval"])?;
+    if !args.positional.is_empty() {
+        return Err("trace takes no positional arguments".to_string());
+    }
+    let n: usize = args.value("-n").and_then(|v| v.parse().ok()).unwrap_or(50);
+    let follow = args.flag("--follow");
+    if follow && args.remote().is_some() {
+        return Err("--follow tails local journals; use plain `trace` over --remote".to_string());
+    }
+    let target = Target::open(args)?;
+    print_body(
+        &target.call("GET", &format!("/trace?n={n}"), None, |store| {
+            Ok(verbs::trace(store, n))
+        })?,
+    );
+    if let (Target::Local(store), true) = (&target, follow) {
+        follow_trace(store, Duration::from_millis(args.interval_ms()));
+    }
+    Ok(())
+}
+
+/// `trace --follow`: tails each journal incrementally from its current
+/// length, interleaving new events by timestamp, until interrupted (or
+/// stdout closes). Only whole lines are consumed, so an append caught
+/// mid-write is picked up complete on the next poll.
+fn follow_trace(store: &JobStore, poll: Duration) {
+    let dir = store.trace_dir();
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
+    let mut consumed: std::collections::HashMap<std::path::PathBuf, usize> =
+        std::collections::HashMap::new();
+    for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
+        if let Ok(meta) = entry.metadata() {
+            consumed.insert(entry.path(), meta.len() as usize);
+        }
+    }
+    loop {
+        std::thread::sleep(poll);
+        let mut fresh = Vec::new();
+        for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            let name = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
+            if !name.contains(".ndjson") {
+                continue;
+            }
+            let Ok(text) = std::fs::read_to_string(&path) else {
+                continue;
+            };
+            let at = consumed.entry(path).or_insert(0);
+            if text.len() < *at {
+                *at = 0; // the journal rotated under us: restart it
+            }
+            let upto = text[*at..].rfind('\n').map_or(*at, |i| *at + i + 1);
+            fresh.extend(
+                text[*at..upto]
+                    .lines()
+                    .filter_map(ftsim_obs::trace::TraceEvent::parse_line),
+            );
+            *at = upto;
+        }
+        fresh.sort_by_key(|e| e.ts_ms);
+        for e in &fresh {
+            if writeln!(out, "{}", e.render_line()).is_err() {
+                return;
+            }
+        }
+        if out.flush().is_err() {
+            return;
+        }
+    }
+}
+
+fn cmd_stop(args: &Args) -> Result<(), String> {
+    args.ensure_flags(&[])?;
+    let target = Target::open(args)?;
+    match args.positional.as_slice() {
+        [] => {
+            target.json("POST", "/stop", None, |store| verbs::stop(store, None))?;
+            eprintln!("ftsimd: stop requested; the daemon will finish its cell in flight and exit");
+        }
+        [id] => {
+            target.json("POST", &format!("/jobs/{id}/stop"), None, |store| {
+                verbs::stop(store, Some(id))
+            })?;
+            eprintln!("ftsimd: job {id} paused; resubmit its spec to resume");
+        }
+        _ => return Err("stop takes at most one job id".to_string()),
+    }
+    Ok(())
 }
 
 /// `--token-file FILE` (trimmed file contents) or `$FTSIMD_TOKEN`;
@@ -502,562 +764,6 @@ fn cmd_gc(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One row of the `jobs` table, from either a local store or `/jobs`.
-fn print_job_row(id: &str, state: &str, done: u64, total: u64, submitter: &str, error: &str) {
-    println!(
-        "{:<28} {:<8} {:>6}/{:<6} {:<12} {}",
-        id,
-        state,
-        done,
-        total,
-        if submitter.is_empty() { "-" } else { submitter },
-        error
-    );
-}
-
-fn cmd_jobs(args: &Args) -> Result<(), String> {
-    args.ensure_flags(&[])?;
-    if !args.positional.is_empty() {
-        return Err("jobs takes no positional arguments".to_string());
-    }
-    if let Some(addr) = args.remote() {
-        let doc = remote_json(addr, "/jobs")?;
-        let entries = doc
-            .get("jobs")
-            .and_then(|j| j.as_arr())
-            .ok_or("remote response has no jobs array")?;
-        if entries.is_empty() {
-            println!("no jobs at {addr}");
-            return Ok(());
-        }
-        for e in entries {
-            print_job_row(
-                &str_of(e, "id"),
-                &str_of(e, "state"),
-                u64_of(e, "cells_done"),
-                u64_of(e, "cells_total"),
-                &str_of(e, "submitter"),
-                e.get("error").and_then(|v| v.as_str()).unwrap_or(""),
-            );
-        }
-        return Ok(());
-    }
-    let store = open_store(args)?;
-    let jobs = store.jobs().map_err(|e| e.to_string())?;
-    if jobs.is_empty() {
-        println!("no jobs in {}", store.root().display());
-        return Ok(());
-    }
-    for job in jobs {
-        let submitter = store
-            .load_spec(&job)
-            .map(|s| s.submitter)
-            .unwrap_or_default();
-        match store.load_status(&job) {
-            Ok(s) => print_job_row(
-                &job.id,
-                &s.state.to_string(),
-                s.cells_done as u64,
-                s.cells_total as u64,
-                &submitter,
-                &s.error,
-            ),
-            Err(e) => println!("{:<28} <unreadable status: {e}>", job.id),
-        }
-    }
-    Ok(())
-}
-
-fn cmd_status(args: &Args) -> Result<(), String> {
-    args.ensure_flags(&[])?;
-    if let Some(addr) = args.remote() {
-        return match args.positional.as_slice() {
-            [] => cmd_jobs(args),
-            [id] => {
-                let doc = remote_json(addr, &format!("/jobs/{id}/status"))?;
-                println!("job:    {id}");
-                println!("state:  {}", str_of(&doc, "state"));
-                println!(
-                    "cells:  {}/{}",
-                    u64_of(&doc, "cells_done"),
-                    u64_of(&doc, "cells_total")
-                );
-                let error = str_of(&doc, "error");
-                if !error.is_empty() && error != "?" {
-                    println!("error:  {error}");
-                }
-                if let Some(families) = doc.get("families").and_then(|f| f.as_arr()) {
-                    println!("families:");
-                    for f in families {
-                        println!(
-                            "  {:<10} budget {:>7}  {:<10} {:>4}/{}",
-                            str_of(f, "workload"),
-                            u64_of(f, "budget"),
-                            str_of(f, "model"),
-                            u64_of(f, "done"),
-                            u64_of(f, "total")
-                        );
-                    }
-                }
-                Ok(())
-            }
-            _ => Err("status takes at most one job id".to_string()),
-        };
-    }
-    let store = open_store(args)?;
-    match args.positional.as_slice() {
-        [] => {
-            let jobs = store.jobs().map_err(|e| e.to_string())?;
-            if jobs.is_empty() {
-                println!("no jobs in {}", store.root().display());
-                return Ok(());
-            }
-            for job in jobs {
-                match store.load_status(&job) {
-                    Ok(s) => println!(
-                        "{:<28} {:<8} {:>6}/{} {}",
-                        job.id, s.state, s.cells_done, s.cells_total, s.error
-                    ),
-                    Err(e) => println!("{:<28} <unreadable status: {e}>", job.id),
-                }
-            }
-            Ok(())
-        }
-        [id] => {
-            let job = store.job(id).map_err(|e| e.to_string())?;
-            let status = store.load_status(&job).map_err(|e| e.to_string())?;
-            println!("job:    {id}");
-            println!("state:  {}", status.state);
-            println!("cells:  {}/{}", status.cells_done, status.cells_total);
-            if !status.error.is_empty() {
-                println!("error:  {}", status.error);
-            }
-            println!("dir:    {}", job.dir().display());
-            match family_progress(&store, &job) {
-                Ok(families) => {
-                    println!("families:");
-                    for f in families {
-                        println!(
-                            "  {:<10} budget {:>7}  {:<10} {:>4}/{}",
-                            f.family.workload, f.family.budget, f.family.model, f.done, f.total
-                        );
-                    }
-                }
-                // Family progress is best-effort decoration: an old job
-                // whose spec no longer resolves still shows its totals.
-                Err(e) => eprintln!("ftsimd: cannot compute family progress: {e}"),
-            }
-            Ok(())
-        }
-        _ => Err("status takes at most one job id".to_string()),
-    }
-}
-
-fn cmd_results(args: &Args) -> Result<(), String> {
-    args.ensure_flags(&["--json", "--watch", "--poll-ms", "--interval"])?;
-    let [id] = args.positional.as_slice() else {
-        return Err("results takes exactly one job id".to_string());
-    };
-    if args.flag("--watch") && args.flag("--json") {
-        return Err("--watch streams CSV rows; it cannot combine with --json".to_string());
-    }
-    if let Some(addr) = args.remote() {
-        if args.flag("--watch") {
-            return watch_remote(addr, id, args.interval_ms());
-        }
-        let path = if args.flag("--json") {
-            format!("/jobs/{id}/results?json")
-        } else {
-            format!("/jobs/{id}/results")
-        };
-        print!("{}", remote_call(addr, "GET", &path, None)?);
-        return Ok(());
-    }
-    let store = open_store(args)?;
-    let job = store.job(id).map_err(|e| e.to_string())?;
-    if args.flag("--watch") {
-        return watch_results(&store, &job, Duration::from_millis(args.interval_ms()));
-    }
-    let json = args.flag("--json");
-    let status = store.load_status(&job).map_err(|e| e.to_string())?;
-
-    if status.state == JobState::Done {
-        // A finished job's artifacts are canonical: print them verbatim.
-        let path = if json {
-            job.results_json_path()
-        } else {
-            job.results_path()
-        };
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        print!("{text}");
-        return Ok(());
-    }
-
-    let spec = store.load_spec(&job).map_err(|e| e.to_string())?;
-    let (merged, total) = merged_records(&job, &spec).map_err(|e| e.to_string())?;
-    eprintln!(
-        "ftsimd: job {id} is {} — {} of {total} cells merged (grid order)",
-        status.state,
-        merged.len(),
-    );
-    if json {
-        print!("{}", to_json(&merged));
-    } else {
-        print!("{}", to_csv(&merged));
-    }
-    Ok(())
-}
-
-/// `results --watch` over `--remote`: the server streams CSV rows as
-/// cells complete and closes the connection when the job is terminal;
-/// the client just forwards lines to stdout, stopping early if the
-/// downstream pipe closes.
-fn watch_remote(addr: &str, id: &str, interval_ms: u64) -> Result<(), String> {
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let path = format!("/jobs/{id}/results?watch&interval={interval_ms}");
-    let code = http_stream(addr, &path, &mut |line| {
-        writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
-    })?;
-    if code != 200 {
-        return Err(format!("remote {addr}: watch failed (http {code})"));
-    }
-    Ok(())
-}
-
-/// Follows a job's `cells.csv`, printing each streamed record (CSV, in
-/// completion order) as it appears, until the job reaches a terminal
-/// state. The tolerant loader is what makes mid-write polling safe: a
-/// torn tail row simply does not count as arrived yet. A closed stdout
-/// (`ftsimd results --watch | head`) ends the watch cleanly instead of
-/// panicking on the broken pipe.
-///
-/// **Exit condition.** The watch exits exactly when (1) a terminal
-/// status (`done`/`failed`) has been observed, and (2) one final read of
-/// the *canonical* record set taken after that observation —
-/// `results.csv` for a done job, the merged streamed records otherwise —
-/// has been forwarded. Cells the watch never saw stream (they were
-/// resumed from an earlier run, or `cells.csv` was already sealed into
-/// `results.csv` and dropped by GC) are backfilled from that final read,
-/// so a watch on a terminal-but-unmerged job prints the full record set
-/// and exits instead of hanging or silently truncating.
-///
-/// Polling is incremental: the byte boundary after the last complete
-/// record ([`from_csv_tolerant_prefix`]) is remembered, and each poll
-/// parses only the appended suffix — a watch on a large job stays O(new
-/// rows) per tick instead of re-parsing the whole growing log.
-///
-/// Read trouble (a flaky disk, an injected `eio@fabric.cells.read`)
-/// does not kill the watch outright: consecutive failures back off
-/// exponentially under the shared [`crate::http::watch_backoff`]
-/// budget, and only an exhausted budget becomes a CLI error.
-fn watch_results(store: &JobStore, job: &Job, poll: Duration) -> Result<(), String> {
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let header = RunRecord::csv_header();
-    if writeln!(out, "{header}").is_err() {
-        return Ok(()); // reader went away before the header
-    }
-    let mut printed = 0usize;
-    let mut consumed = 0usize; // bytes of cells.csv fully parsed
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut backoff = crate::http::watch_backoff();
-    let retry_or = |backoff: &mut ftsim_chaos::retry::Backoff, e: String| match backoff.next_delay()
-    {
-        Some(delay) => {
-            std::thread::sleep(delay);
-            Ok(())
-        }
-        None => Err(format!(
-            "watching {}: {e} (after {} consecutive failed reads)",
-            job.id,
-            backoff.attempts()
-        )),
-    };
-    loop {
-        // Status first, cells second: anything streamed before a
-        // terminal status was set is guaranteed to be seen by the final
-        // read, so no record can slip between the last poll and exit.
-        let status = match store.load_status(job) {
-            Ok(status) => status,
-            Err(e) => {
-                retry_or(&mut backoff, e.to_string())?;
-                continue;
-            }
-        };
-        let text =
-            match ftsim_chaos::io().read(crate::failpoints::FABRIC_CELLS_READ, &job.cells_path()) {
-                Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-                Err(e) => {
-                    retry_or(&mut backoff, e.to_string())?;
-                    continue;
-                }
-            };
-        backoff = crate::http::watch_backoff(); // a clean poll resets the budget
-                                                // `consumed` always sits on a record boundary; re-prefix the
-                                                // unparsed suffix with the header so it parses standalone.
-        let rows = if text.len() > consumed {
-            let (rows, parsed) = if consumed == 0 {
-                from_csv_tolerant_prefix(&text)
-            } else {
-                let doc = format!("{header}\n{}", &text[consumed..]);
-                let (rows, parsed) = from_csv_tolerant_prefix(&doc);
-                (rows, parsed.saturating_sub(header.len() + 1))
-            };
-            consumed += parsed;
-            rows
-        } else {
-            Vec::new()
-        };
-        for r in &rows {
-            if writeln!(out, "{}", r.to_csv_row()).is_err() {
-                return Ok(()); // downstream pipe closed mid-stream
-            }
-            seen.insert(r.cell_label());
-        }
-        printed += rows.len();
-        if out.flush().is_err() {
-            return Ok(());
-        }
-        match status.state {
-            JobState::Done | JobState::Failed => {
-                // Final merged read: backfill anything that never
-                // streamed past this watch (resumed cells from an
-                // earlier run, or a cells.csv GC already sealed into
-                // results.csv) so the watch always ends with the full
-                // record set.
-                let canonical = if status.state == JobState::Done {
-                    std::fs::read_to_string(job.results_path())
-                        .ok()
-                        .and_then(|text| from_csv(&text).ok())
-                } else {
-                    store
-                        .load_spec(job)
-                        .ok()
-                        .and_then(|spec| merged_records(job, &spec).ok())
-                        .map(|(records, _total)| records)
-                };
-                let mut backfilled = 0usize;
-                if let Some(records) = canonical {
-                    for r in records.iter().filter(|r| !seen.contains(&r.cell_label())) {
-                        if writeln!(out, "{}", r.to_csv_row()).is_err() {
-                            return Ok(());
-                        }
-                        backfilled += 1;
-                    }
-                    if out.flush().is_err() {
-                        return Ok(());
-                    }
-                }
-                printed += backfilled;
-                eprintln!(
-                    "ftsimd: job {} is {} — {printed} record(s) streamed{}",
-                    job.id,
-                    status.state,
-                    if backfilled > 0 {
-                        format!(" ({backfilled} backfilled from the final merged read)")
-                    } else {
-                        String::new()
-                    }
-                );
-                return Ok(());
-            }
-            JobState::Queued | JobState::Running => std::thread::sleep(poll),
-        }
-    }
-}
-
-fn cmd_report(args: &Args) -> Result<(), String> {
-    args.ensure_flags(&["--json", "--watch", "--poll-ms", "--interval"])?;
-    let [id] = args.positional.as_slice() else {
-        return Err("report takes exactly one job id".to_string());
-    };
-    if args.flag("--watch") && args.flag("--json") {
-        return Err("--watch already streams JSON snapshots; drop --json".to_string());
-    }
-    if let Some(addr) = args.remote() {
-        if args.flag("--watch") {
-            return watch_report_remote(addr, id, args.interval_ms());
-        }
-        let path = if args.flag("--json") {
-            format!("/jobs/{id}/report")
-        } else {
-            format!("/jobs/{id}/report?format=text")
-        };
-        print!("{}", remote_call(addr, "GET", &path, None)?);
-        return Ok(());
-    }
-    let store = open_store(args)?;
-    let job = store.job(id).map_err(|e| e.to_string())?;
-    if args.flag("--watch") {
-        return watch_report(&store, &job, Duration::from_millis(args.interval_ms()));
-    }
-    let status = store.load_status(&job).map_err(|e| e.to_string())?;
-
-    let records = if status.state == JobState::Done {
-        // The canonical grid-order artifact — byte-identical to what the
-        // one-shot Experiment would serialize, so the report matches
-        // `Experiment::analyze()` exactly.
-        let path = job.results_path();
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        from_csv(&text).map_err(|e| format!("parsing {}: {e}", path.display()))?
-    } else {
-        let spec = store.load_spec(&job).map_err(|e| e.to_string())?;
-        let (merged, total) = merged_records(&job, &spec).map_err(|e| e.to_string())?;
-        eprintln!(
-            "ftsimd: job {id} is {} — report covers {} of {total} cells",
-            status.state,
-            merged.len(),
-        );
-        merged
-    };
-    let report = ftsim_analysis::analyze_records(&records);
-    if args.flag("--json") {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-    Ok(())
-}
-
-/// `report --watch` against a local store: re-analyzes the merged
-/// records whenever new cells land, printing one compact JSON snapshot
-/// per line — the same lines `GET /jobs/<id>/report?watch` streams —
-/// and exits after the snapshot taken at the terminal state (which
-/// analyzes the canonical `results.csv` when the job finished).
-fn watch_report(store: &JobStore, job: &Job, poll: Duration) -> Result<(), String> {
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut last_cells: Option<usize> = None;
-    loop {
-        let status = store.load_status(job).map_err(|e| e.to_string())?;
-        let terminal = matches!(status.state, JobState::Done | JobState::Failed);
-        let records = if status.state == JobState::Done {
-            let text = std::fs::read_to_string(job.results_path())
-                .map_err(|e| format!("reading results: {e}"))?;
-            from_csv(&text).map_err(|e| e.to_string())?
-        } else {
-            let spec = store.load_spec(job).map_err(|e| e.to_string())?;
-            merged_records(job, &spec).map_err(|e| e.to_string())?.0
-        };
-        if terminal || last_cells != Some(records.len()) {
-            last_cells = Some(records.len());
-            let line = crate::http::report_snapshot(status.state, &records);
-            if writeln!(out, "{line}").is_err() || out.flush().is_err() {
-                return Ok(()); // downstream pipe closed
-            }
-        }
-        if terminal {
-            return Ok(());
-        }
-        std::thread::sleep(poll);
-    }
-}
-
-/// `report --watch` over `--remote`: the server re-analyzes as cells
-/// land and closes the stream after the terminal snapshot; the client
-/// forwards lines to stdout.
-fn watch_report_remote(addr: &str, id: &str, interval_ms: u64) -> Result<(), String> {
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let path = format!("/jobs/{id}/report?watch&interval={interval_ms}");
-    let code = http_stream(addr, &path, &mut |line| {
-        writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
-    })?;
-    if code != 200 {
-        return Err(format!("remote {addr}: report watch failed (http {code})"));
-    }
-    Ok(())
-}
-
-fn cmd_trace(args: &Args) -> Result<(), String> {
-    args.ensure_flags(&["-n", "--follow", "--poll-ms", "--interval"])?;
-    if !args.positional.is_empty() {
-        return Err("trace takes no positional arguments".to_string());
-    }
-    let n: usize = args.value("-n").and_then(|v| v.parse().ok()).unwrap_or(50);
-    if let Some(addr) = args.remote() {
-        if args.flag("--follow") {
-            return Err(
-                "--follow tails local journals; use plain `trace` over --remote".to_string(),
-            );
-        }
-        print!(
-            "{}",
-            remote_call(addr, "GET", &format!("/trace?n={n}"), None)?
-        );
-        return Ok(());
-    }
-    let store = open_store(args)?;
-    let dir = store.trace_dir();
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let events = crate::http::read_trace_journals(&dir);
-    let skip = events.len().saturating_sub(n);
-    for e in &events[skip..] {
-        if writeln!(out, "{}", e.render_line()).is_err() {
-            return Ok(());
-        }
-    }
-    if out.flush().is_err() || !args.flag("--follow") {
-        return Ok(());
-    }
-    // Follow mode: tail each journal incrementally from its current
-    // length, interleaving new events by timestamp, until interrupted
-    // (or stdout closes). Only whole lines are consumed, so an append
-    // caught mid-write is picked up complete on the next poll.
-    let mut consumed: std::collections::HashMap<std::path::PathBuf, usize> =
-        std::collections::HashMap::new();
-    for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
-        if let Ok(meta) = entry.metadata() {
-            consumed.insert(entry.path(), meta.len() as usize);
-        }
-    }
-    let poll = Duration::from_millis(args.interval_ms());
-    loop {
-        std::thread::sleep(poll);
-        let mut fresh = Vec::new();
-        for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
-            let path = entry.path();
-            let name = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
-            if !name.contains(".ndjson") {
-                continue;
-            }
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            let at = consumed.entry(path).or_insert(0);
-            if text.len() < *at {
-                *at = 0; // the journal rotated under us: restart it
-            }
-            let upto = text[*at..].rfind('\n').map_or(*at, |i| *at + i + 1);
-            fresh.extend(
-                text[*at..upto]
-                    .lines()
-                    .filter_map(ftsim_obs::trace::TraceEvent::parse_line),
-            );
-            *at = upto;
-        }
-        fresh.sort_by_key(|e| e.ts_ms);
-        for e in &fresh {
-            if writeln!(out, "{}", e.render_line()).is_err() {
-                return Ok(());
-            }
-        }
-        if out.flush().is_err() {
-            return Ok(());
-        }
-    }
-}
-
 fn cmd_profile(args: &Args) -> Result<(), String> {
     args.ensure_flags(&[])?;
     let [id] = args.positional.as_slice() else {
@@ -1130,43 +836,11 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stop(args: &Args) -> Result<(), String> {
-    args.ensure_flags(&[])?;
-    if let Some(addr) = args.remote() {
-        return match args.positional.as_slice() {
-            [] => {
-                remote_call(addr, "POST", "/stop", None)?;
-                eprintln!("ftsimd: stop requested; {addr} will finish its cell in flight and exit");
-                Ok(())
-            }
-            [id] => {
-                remote_call(addr, "POST", &format!("/jobs/{id}/stop"), None)?;
-                eprintln!("ftsimd: job {id} paused; resubmit its spec to resume");
-                Ok(())
-            }
-            _ => Err("stop takes at most one job id".to_string()),
-        };
-    }
-    let store = open_store(args)?;
-    match args.positional.as_slice() {
-        [] => {
-            store.request_stop().map_err(|e| e.to_string())?;
-            eprintln!("ftsimd: stop requested; the daemon will finish its cell in flight and exit");
-            Ok(())
-        }
-        [id] => {
-            let job = store.job(id).map_err(|e| e.to_string())?;
-            store.request_job_stop(&job).map_err(|e| e.to_string())?;
-            eprintln!("ftsimd: job {id} paused; resubmit its spec to resume");
-            Ok(())
-        }
-        _ => Err("stop takes at most one job id".to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::family_progress;
+    use crate::spec::JobSpec;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()

@@ -3,17 +3,14 @@
 //! dependencies — the TOML-subset parser in `spec.rs` set the
 //! precedent), plus the minimal client the `ftsimd --remote` paths use.
 //!
-//! The surface mirrors the CLI verbs one-to-one:
-//!
-//! | Route                       | Verb                               |
-//! |-----------------------------|------------------------------------|
-//! | `POST /jobs`                | submit-or-attach (body = spec)     |
-//! | `GET /jobs`                 | list every job                     |
-//! | `GET /jobs/<id>/status`     | one job's status + family progress |
-//! | `GET /jobs/<id>/results`    | grid-order CSV (`?json`, `?watch`) |
-//! | `GET /jobs/<id>/report`     | analysis report (JSON; `?format=text`) |
-//! | `POST /jobs/<id>/stop`      | pause one job                      |
-//! | `POST /stop`                | stop the serving daemon            |
+//! The server is a thin adapter over [`crate::verbs`]: each job route
+//! parses its request, calls the one verb function, and writes what it
+//! returns — a JSON document, a text body, or (for `?watch`) the lines
+//! the verb streams. A verb's [`DaemonError`] becomes a JSON
+//! `{"error": …}` body with the status [`DaemonError::http_status`]
+//! picks (`QuotaExceeded` adds `retry_after_secs` and `Retry-After`).
+//! Only `GET /healthz` and `GET /metrics` are served here alone: they
+//! describe the serving process, not a verb.
 //!
 //! Responses carry `Connection: close` and either a `Content-Length`
 //! or — for `?watch` streams — no length at all: the client reads to
@@ -22,13 +19,11 @@
 //! `<state>/http.addr`, so `--listen 127.0.0.1:0` (tests, parallel CI)
 //! is discoverable.
 
-use crate::fabric::{family_progress, merged_records};
 use crate::failpoints as fp;
-use crate::spec::JobSpec;
-use crate::store::{io_err, write_atomic, DaemonError, Job, JobState, JobStore};
-use ftsim::harness::{from_csv, from_csv_tolerant_prefix, to_csv, to_json, RunRecord};
+use crate::store::{io_err, write_atomic, DaemonError, JobState, JobStore};
+use crate::verbs;
 use ftsim_chaos::retry::Backoff;
-use ftsim_obs::{metrics, trace};
+use ftsim_obs::metrics;
 use ftsim_stats::JsonValue;
 use std::cell::RefCell;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -416,473 +411,127 @@ fn handle(
             }
         }
     }
+    let stream = &mut stream;
+    let watch = req.query("watch").is_some();
+    let interval = req
+        .query("interval")
+        .and_then(|v| v.parse().ok())
+        .map_or(Duration::from_millis(500), Duration::from_millis);
+    let stop = || stopped.load(Ordering::SeqCst);
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
-        ("POST", ["jobs"]) => post_job(store, &mut stream, &req),
-        ("GET", ["jobs"]) => list_jobs(store, &mut stream),
-        ("GET", ["jobs", id, "status"]) => job_status(store, &mut stream, id),
-        ("GET", ["jobs", id, "results"]) => job_results(store, &mut stream, id, &req, stopped),
-        ("GET", ["jobs", id, "report"]) => job_report(store, &mut stream, id, &req, stopped),
-        ("POST", ["jobs", id, "stop"]) => job_stop(store, &mut stream, id),
-        ("POST", ["stop"]) => {
-            match store.request_stop() {
-                Ok(()) => respond_json(
-                    &mut stream,
-                    200,
-                    &JsonValue::obj([("stopping".to_string(), JsonValue::Bool(true))]),
-                ),
-                Err(e) => respond_json(&mut stream, 500, &error_json(e.to_string())),
-            };
+        ("POST", ["jobs"]) => reply_json(stream, verbs::submit(store, &req.body)),
+        ("GET", ["jobs"]) => reply_json(stream, verbs::jobs(store)),
+        ("GET", ["jobs", id, "status"]) => reply_json(stream, verbs::status(store, id)),
+        ("GET", ["jobs", id, "results"]) if watch => reply_lines(stream, "text/csv", |sink| {
+            verbs::watch_results(store, id, interval, sink, &stop)
+        }),
+        ("GET", ["jobs", id, "results"]) => {
+            let json = req.query("json").is_some();
+            let content_type = if json { "application/json" } else { "text/csv" };
+            reply(stream, content_type, verbs::results(store, id, json));
         }
-        ("GET", ["healthz"]) => healthz(store, &mut stream, started),
-        ("GET", ["metrics"]) => metrics_endpoint(store, &mut stream),
-        ("GET", ["trace"]) => trace_endpoint(store, &mut stream, &req),
+        ("GET", ["jobs", id, "report"]) if watch => {
+            reply_lines(stream, "application/x-ndjson", |sink| {
+                verbs::watch_report(store, id, interval, sink, &stop)
+            });
+        }
+        ("GET", ["jobs", id, "report"]) => {
+            let text = req.query("format") == Some("text");
+            let content_type = if text {
+                "text/plain"
+            } else {
+                "application/json"
+            };
+            reply(stream, content_type, verbs::report(store, id, text));
+        }
+        ("POST", ["jobs", id, "stop"]) => reply_json(stream, verbs::stop(store, Some(id))),
+        ("POST", ["stop"]) => reply_json(stream, verbs::stop(store, None)),
+        ("GET", ["trace"]) => {
+            let n = req.query("n").and_then(|v| v.parse().ok()).unwrap_or(100);
+            respond(stream, 200, "application/x-ndjson", &verbs::trace(store, n));
+        }
+        ("GET", ["healthz"]) => healthz(store, stream, started),
+        ("GET", ["metrics"]) => metrics_endpoint(store, stream),
         (method, _) if method != "GET" && method != "POST" => {
-            respond_json(&mut stream, 405, &error_json("use GET or POST"));
+            respond_json(stream, 405, &error_json("use GET or POST"));
         }
         _ => respond_json(
-            &mut stream,
+            stream,
             404,
             &error_json(format!("no route for {} {}", req.method, req.path)),
         ),
     }
 }
 
-fn lookup(store: &JobStore, stream: &mut TcpStream, id: &str) -> Option<Job> {
-    match store.job(id) {
-        Ok(job) => Some(job),
-        Err(e) => {
-            respond_json(stream, 404, &error_json(e.to_string()));
-            None
-        }
-    }
-}
-
-fn post_job(store: &JobStore, stream: &mut TcpStream, req: &Request) {
-    let spec = match JobSpec::parse(&req.body) {
-        Ok(spec) => spec,
-        Err(e) => {
-            respond_json(stream, 400, &error_json(e.to_string()));
-            return;
-        }
-    };
-    match store.submit(&spec) {
-        Ok((id, created)) => {
-            let cells = store
-                .job(&id)
-                .and_then(|job| store.load_status(&job))
-                .map(|s| s.cells_total as u64)
-                .unwrap_or(0);
-            respond_json(
-                stream,
-                200,
-                &JsonValue::obj([
-                    ("id".to_string(), JsonValue::Str(id)),
-                    ("created".to_string(), JsonValue::Bool(created)),
-                    ("cells_total".to_string(), JsonValue::U64(cells)),
-                ]),
-            );
-        }
-        Err(
-            e @ DaemonError::QuotaExceeded {
-                retry_after_secs, ..
-            },
-        ) => {
-            // Structured refusal: the client learns when to come back
-            // both from the header and from the body.
-            respond_extra(
-                stream,
-                429,
-                "application/json",
-                &JsonValue::obj([
-                    ("error".to_string(), JsonValue::Str(e.to_string())),
-                    (
-                        "retry_after_secs".to_string(),
-                        JsonValue::U64(retry_after_secs),
-                    ),
-                ])
-                .render_pretty(2),
-                &[format!("Retry-After: {retry_after_secs}")],
-            );
-        }
-        Err(e) => respond_json(stream, 400, &error_json(e.to_string())),
-    }
-}
-
-/// One job's listing entry: status plus the spec's submitter/priority.
-fn job_entry(store: &JobStore, job: &Job) -> JsonValue {
-    let (submitter, priority) = store
-        .load_spec(job)
-        .map(|s| (s.submitter, s.priority))
-        .unwrap_or_default();
-    let mut pairs = vec![("id".to_string(), JsonValue::Str(job.id.clone()))];
-    match store.load_status(job) {
-        Ok(s) => pairs.extend([
-            ("state".to_string(), JsonValue::Str(s.state.to_string())),
-            (
-                "cells_done".to_string(),
-                JsonValue::U64(s.cells_done as u64),
-            ),
-            (
-                "cells_total".to_string(),
-                JsonValue::U64(s.cells_total as u64),
-            ),
-            ("error".to_string(), JsonValue::Str(s.error)),
-        ]),
-        Err(e) => pairs.push(("error".to_string(), JsonValue::Str(e.to_string()))),
-    }
-    pairs.extend([
-        ("submitter".to_string(), JsonValue::Str(submitter)),
-        ("priority".to_string(), JsonValue::I64(priority)),
-        (
-            "paused".to_string(),
-            JsonValue::Bool(store.job_stop_requested(job)),
-        ),
-    ]);
-    JsonValue::Obj(pairs)
-}
-
-fn list_jobs(store: &JobStore, stream: &mut TcpStream) {
-    match store.jobs() {
-        Ok(jobs) => {
-            let entries = jobs.iter().map(|job| job_entry(store, job)).collect();
-            respond_json(
-                stream,
-                200,
-                &JsonValue::obj([("jobs".to_string(), JsonValue::Arr(entries))]),
-            );
-        }
-        Err(e) => respond_json(stream, 500, &error_json(e.to_string())),
-    }
-}
-
-fn job_status(store: &JobStore, stream: &mut TcpStream, id: &str) {
-    let Some(job) = lookup(store, stream, id) else {
-        return;
-    };
-    let mut doc = match job_entry(store, &job) {
-        JsonValue::Obj(pairs) => pairs,
-        _ => unreachable!("job_entry builds an object"),
-    };
-    // Family progress is best-effort decoration, exactly as in the CLI.
-    if let Ok(families) = family_progress(store, &job) {
-        doc.push((
-            "families".to_string(),
-            JsonValue::Arr(
-                families
-                    .iter()
-                    .map(|f| {
-                        JsonValue::obj([
-                            (
-                                "workload".to_string(),
-                                JsonValue::Str(f.family.workload.clone()),
-                            ),
-                            ("budget".to_string(), JsonValue::U64(f.family.budget)),
-                            ("model".to_string(), JsonValue::Str(f.family.model.clone())),
-                            ("done".to_string(), JsonValue::U64(f.done as u64)),
-                            ("total".to_string(), JsonValue::U64(f.total as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
+/// Writes a verb's failure: `{"error": …}` under the error's HTTP
+/// status, plus `retry_after_secs` and `Retry-After` for a quota
+/// refusal, so the client learns when to come back from either.
+fn respond_error(stream: &mut TcpStream, e: &DaemonError) {
+    let mut body = vec![("error".to_string(), JsonValue::Str(e.to_string()))];
+    let mut headers = Vec::new();
+    if let DaemonError::QuotaExceeded {
+        retry_after_secs, ..
+    } = e
+    {
+        body.push((
+            "retry_after_secs".to_string(),
+            JsonValue::U64(*retry_after_secs),
         ));
+        headers.push(format!("Retry-After: {retry_after_secs}"));
     }
-    respond_json(stream, 200, &JsonValue::Obj(doc));
+    respond_extra(
+        stream,
+        e.http_status(),
+        "application/json",
+        &JsonValue::Obj(body).render_pretty(2),
+        &headers,
+    );
 }
 
-fn job_results(
-    store: &JobStore,
+/// Writes a verb's text body with `200`, or its error.
+fn reply(stream: &mut TcpStream, content_type: &str, body: Result<String, DaemonError>) {
+    match body {
+        Ok(body) => respond(stream, 200, content_type, &body),
+        Err(e) => respond_error(stream, &e),
+    }
+}
+
+/// Writes a verb's JSON document with `200`, or its error.
+fn reply_json(stream: &mut TcpStream, doc: Result<JsonValue, DaemonError>) {
+    match doc {
+        Ok(doc) => respond_json(stream, 200, &doc),
+        Err(e) => respond_error(stream, &e),
+    }
+}
+
+/// Runs a watch verb, streaming each line it emits as it comes. The
+/// `200` head goes out with the first line, so a verb that fails before
+/// emitting anything (an unknown job) still gets its proper error
+/// status; a failure mid-stream just ends the body (the client sees EOF
+/// and can re-watch).
+fn reply_lines(
     stream: &mut TcpStream,
-    id: &str,
-    req: &Request,
-    stopped: &AtomicBool,
+    content_type: &str,
+    watch: impl FnOnce(verbs::Sink) -> Result<(), DaemonError>,
 ) {
-    let Some(job) = lookup(store, stream, id) else {
-        return;
-    };
-    if req.query("watch").is_some() {
-        let interval = req
-            .query("interval")
-            .and_then(|v| v.parse().ok())
-            .map_or(Duration::from_millis(500), Duration::from_millis);
-        stream_results(store, stream, &job, interval, stopped);
-        return;
-    }
-    let json = req.query("json").is_some();
-    let done = store
-        .load_status(&job)
-        .map(|s| s.state == JobState::Done)
-        .unwrap_or(false);
-    if done {
-        // A finished job's artifacts are canonical: serve them verbatim.
-        let path = if json {
-            job.results_json_path()
-        } else {
-            job.results_path()
-        };
-        match std::fs::read_to_string(&path) {
-            Ok(text) => respond(
-                stream,
-                200,
-                if json { "application/json" } else { "text/csv" },
-                &text,
-            ),
-            Err(e) => respond_json(stream, 500, &error_json(format!("reading results: {e}"))),
-        }
-        return;
-    }
-    let merged = store
-        .load_spec(&job)
-        .and_then(|spec| merged_records(&job, &spec));
-    match merged {
-        Ok((records, _total)) => {
-            if json {
-                respond(stream, 200, "application/json", &to_json(&records));
-            } else {
-                respond(stream, 200, "text/csv", &to_csv(&records));
+    let mut started = false;
+    let outcome = watch(&mut |line| {
+        if !started {
+            started = true;
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n"
+            );
+            if stream.write_all(head.as_bytes()).is_err() {
+                return false;
             }
         }
-        Err(e) => respond_json(stream, 500, &error_json(e.to_string())),
-    }
-}
-
-/// The retry budget a watch loop grants consecutive failed reads of
-/// `cells.csv` before ending the stream: 8 attempts, exponential from
-/// 25 ms, capped at 1 s. Shared by the HTTP `?watch` stream and the
-/// CLI `results --watch` loop so both degrade identically.
-pub(crate) fn watch_backoff() -> Backoff {
-    Backoff::new(Duration::from_millis(25), Duration::from_secs(1), 8)
-}
-
-/// Streams a job's records as CSV rows while they arrive — the HTTP
-/// twin of `ftsimd results --watch`. The response has no
-/// `Content-Length`; the client reads rows until the job reaches a
-/// terminal state (or the daemon shuts down) and the connection closes.
-fn stream_results(
-    store: &JobStore,
-    stream: &mut TcpStream,
-    job: &Job,
-    interval: Duration,
-    stopped: &AtomicBool,
-) {
-    let header = RunRecord::csv_header();
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: text/csv\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
-        return;
-    }
-    if stream.write_all(format!("{header}\n").as_bytes()).is_err() {
-        return;
-    }
-    let mut consumed = 0usize; // bytes of cells.csv fully parsed
-    let mut backoff = watch_backoff();
-    loop {
-        // Status first, cells second: a record streamed before the
-        // terminal status was set is guaranteed to be seen by the final
-        // read.
-        let state = match store.load_status(job) {
-            Ok(s) => s.state,
-            Err(e) => match backoff.next_delay() {
-                Some(delay) => {
-                    std::thread::sleep(delay);
-                    continue;
-                }
-                None => {
-                    eprintln!("ftsimd: watch stream on {}: {e}; giving up", job.id);
-                    return;
-                }
-            },
-        };
-        let text = match ftsim_chaos::io().read(fp::FABRIC_CELLS_READ, &job.cells_path()) {
-            Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => {
-                // Transient read trouble: back off and retry; a budget
-                // of consecutive failures ends the stream (the client
-                // sees EOF and can re-watch).
-                match backoff.next_delay() {
-                    Some(delay) => {
-                        std::thread::sleep(delay);
-                        continue;
-                    }
-                    None => {
-                        eprintln!("ftsimd: watch stream on {}: {e}; giving up", job.id);
-                        return;
-                    }
-                }
-            }
-        };
-        backoff = watch_backoff(); // a successful read resets the budget
-        if text.len() > consumed {
-            let (rows, parsed) = if consumed == 0 {
-                from_csv_tolerant_prefix(&text)
-            } else {
-                let doc = format!("{header}\n{}", &text[consumed..]);
-                let (rows, parsed) = from_csv_tolerant_prefix(&doc);
-                (rows, parsed.saturating_sub(header.len() + 1))
-            };
-            consumed += parsed;
-            for r in &rows {
-                if stream
-                    .write_all(format!("{}\n", r.to_csv_row()).as_bytes())
-                    .is_err()
-                {
-                    return; // client went away
-                }
-            }
-            if stream.flush().is_err() {
-                return;
-            }
-        }
-        match state {
-            JobState::Done | JobState::Failed => return,
-            JobState::Queued | JobState::Running => {
-                if stopped.load(Ordering::SeqCst) {
-                    return; // daemon shutting down: end the stream
-                }
-                std::thread::sleep(interval);
-            }
-        }
-    }
-}
-
-fn job_report(
-    store: &JobStore,
-    stream: &mut TcpStream,
-    id: &str,
-    req: &Request,
-    stopped: &AtomicBool,
-) {
-    let Some(job) = lookup(store, stream, id) else {
-        return;
-    };
-    if req.query("watch").is_some() {
-        let interval = req
-            .query("interval")
-            .and_then(|v| v.parse().ok())
-            .map_or(Duration::from_millis(500), Duration::from_millis);
-        stream_report(store, stream, &job, interval, stopped);
-        return;
-    }
-    let done = store
-        .load_status(&job)
-        .map(|s| s.state == JobState::Done)
-        .unwrap_or(false);
-    let records = if done {
-        std::fs::read_to_string(job.results_path())
-            .map_err(|e| e.to_string())
-            .and_then(|text| from_csv(&text).map_err(|e| e.to_string()))
-    } else {
-        store
-            .load_spec(&job)
-            .and_then(|spec| merged_records(&job, &spec))
-            .map(|(records, _)| records)
-            .map_err(|e| e.to_string())
-    };
-    match records {
-        Ok(records) => {
-            let report = ftsim_analysis::analyze_records(&records);
-            if req.query("format") == Some("text") {
-                respond(stream, 200, "text/plain", &report.render());
-            } else {
-                respond(stream, 200, "application/json", &report.to_json());
-            }
-        }
-        Err(message) => respond_json(stream, 500, &error_json(message)),
-    }
-}
-
-/// One line of a `report?watch` stream: the job's state, how many cells
-/// the snapshot covers, and the full analysis report, as one compact
-/// JSON object.
-pub(crate) fn report_snapshot(state: JobState, records: &[RunRecord]) -> String {
-    let report = ftsim_analysis::analyze_records(records);
-    JsonValue::obj([
-        ("state".to_string(), JsonValue::Str(state.to_string())),
-        ("cells".to_string(), JsonValue::U64(records.len() as u64)),
-        (
-            "report".to_string(),
-            JsonValue::parse(&report.to_json()).unwrap_or(JsonValue::Null),
-        ),
-    ])
-    .render()
-}
-
-/// Streams incremental analysis snapshots as NDJSON — the HTTP twin of
-/// `ftsimd report --watch`, closing the "re-run analysis while a sweep
-/// streams" loop. Records come from the tolerant merged-cells reader, so
-/// a snapshot is re-emitted whenever new cells land; at the terminal
-/// state one final snapshot is always written (from the canonical
-/// `results.csv` when the job finished), so the last line a client reads
-/// analyzes exactly the records `ftsimd report <job>` would.
-fn stream_report(
-    store: &JobStore,
-    stream: &mut TcpStream,
-    job: &Job,
-    interval: Duration,
-    stopped: &AtomicBool,
-) {
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
-        return;
-    }
-    let mut last_cells: Option<usize> = None;
-    let mut backoff = watch_backoff();
-    loop {
-        // Status first, records second, for the same reason as
-        // `stream_results`: records seen before the terminal status was
-        // set are never newer than the final read.
-        let state = match store.load_status(job) {
-            Ok(s) => s.state,
-            Err(_) => match backoff.next_delay() {
-                Some(delay) => {
-                    std::thread::sleep(delay);
-                    continue;
-                }
-                None => return,
-            },
-        };
-        let terminal = matches!(state, JobState::Done | JobState::Failed);
-        let records = if state == JobState::Done {
-            std::fs::read_to_string(job.results_path())
-                .ok()
-                .and_then(|text| from_csv(&text).ok())
-        } else {
-            store
-                .load_spec(job)
-                .and_then(|spec| merged_records(job, &spec))
-                .ok()
-                .map(|(records, _total)| records)
-        };
-        let Some(records) = records else {
-            if terminal {
-                return; // failed job with unreadable records: nothing to analyze
-            }
-            match backoff.next_delay() {
-                Some(delay) => {
-                    std::thread::sleep(delay);
-                    continue;
-                }
-                None => return,
-            }
-        };
-        backoff = watch_backoff();
-        if terminal || last_cells != Some(records.len()) {
-            last_cells = Some(records.len());
-            let line = report_snapshot(state, &records);
-            if stream.write_all(format!("{line}\n").as_bytes()).is_err() {
-                return;
-            }
-            if stream.flush().is_err() {
-                return;
-            }
-        }
-        if terminal {
-            return;
-        }
-        if stopped.load(Ordering::SeqCst) {
-            return; // daemon shutting down: end the stream
-        }
-        std::thread::sleep(interval);
+        stream.write_all(format!("{line}\n").as_bytes()).is_ok() && stream.flush().is_ok()
+    });
+    match outcome {
+        Err(e) if !started => respond_error(stream, &e),
+        Err(e) => eprintln!("ftsimd: watch stream: {e}; giving up"),
+        Ok(()) => {}
     }
 }
 
@@ -917,47 +566,6 @@ fn metrics_endpoint(store: &JobStore, stream: &mut TcpStream) {
     }
     metrics::gauge("ftsimd_quarantined_files", &[]).set(store.quarantined_count() as u64);
     respond(stream, 200, "text/plain; version=0.0.4", &metrics::render());
-}
-
-/// Reads and timestamp-merges every NDJSON trace journal (including the
-/// rotated `.ndjson.1` generation) under `dir`. Damaged lines — the torn
-/// tail of a crashed process's journal — are skipped, not errors.
-pub(crate) fn read_trace_journals(dir: &std::path::Path) -> Vec<trace::TraceEvent> {
-    let mut events = Vec::new();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return events;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if !name.contains(".ndjson") {
-            continue;
-        }
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        events.extend(text.lines().filter_map(trace::TraceEvent::parse_line));
-    }
-    events.sort_by_key(|e| e.ts_ms);
-    events
-}
-
-/// `GET /trace?n=<count>`: the most recent span events across the whole
-/// fabric, merged by timestamp from every process's journal under
-/// `<state>/trace/` (falling back to this process's in-memory ring when
-/// no journal exists yet), one JSON object per line, oldest first.
-fn trace_endpoint(store: &JobStore, stream: &mut TcpStream, req: &Request) {
-    let n: usize = req.query("n").and_then(|v| v.parse().ok()).unwrap_or(100);
-    let mut events = read_trace_journals(&store.trace_dir());
-    if events.is_empty() {
-        events = trace::recent(n);
-    }
-    let skip = events.len().saturating_sub(n);
-    let body: String = events[skip..]
-        .iter()
-        .map(|e| format!("{}\n", e.render_line()))
-        .collect();
-    respond(stream, 200, "application/x-ndjson", &body);
 }
 
 /// `GET /healthz`: fabric diagnostics for dashboards and smoke tests —
@@ -1022,7 +630,7 @@ fn healthz(store: &JobStore, stream: &mut TcpStream, started: std::time::Instant
             )
         }
         Err(e) => {
-            respond_json(stream, 500, &error_json(e.to_string()));
+            respond_error(stream, &e);
             return;
         }
     };
@@ -1074,20 +682,6 @@ fn healthz(store: &JobStore, stream: &mut TcpStream, started: std::time::Instant
             ),
         ]),
     );
-}
-
-fn job_stop(store: &JobStore, stream: &mut TcpStream, id: &str) {
-    let Some(job) = lookup(store, stream, id) else {
-        return;
-    };
-    match store.request_job_stop(&job) {
-        Ok(()) => respond_json(
-            stream,
-            200,
-            &JsonValue::obj([("paused".to_string(), JsonValue::Str(job.id))]),
-        ),
-        Err(e) => respond_json(stream, 500, &error_json(e.to_string())),
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -26,10 +26,16 @@
 //!   N `serve` processes on one state directory partition work, steal
 //!   from crashed peers, and schedule by priority + submitter fair
 //!   share; single-process operation is the N=1 special case;
-//! * an HTTP API (`serve --listen`) and its `--remote` client — every
-//!   daemon verb over a hand-rolled `std::net` server, no filesystem
-//!   access required of submitters; mutating verbs can be gated behind
-//!   a bearer token (`serve --token-file`);
+//! * **one verb layer** — `submit`, `jobs`, `status`, `results`,
+//!   `report`, their `--watch` streams, `trace` and `stop` are each one
+//!   function over a [`JobStore`]. The HTTP API (`serve --listen`, a
+//!   hand-rolled `std::net` server) is a thin adapter that writes what
+//!   they return, mapping failures through [`DaemonError::http_status`];
+//!   the CLI calls them in process for `--state DIR` or through their
+//!   route for `--remote ADDR` and prints one format either way, so
+//!   local and remote output agree by construction. Remote submitters
+//!   need no filesystem access; mutating routes can be gated behind a
+//!   bearer token (`serve --token-file`);
 //! * **tenancy hardening** — per-submitter admission quotas
 //!   ([`QuotaPolicy`], rejected work gets a structured
 //!   429-with-retry-after), job TTLs with a garbage-collection pass
@@ -100,6 +106,7 @@ mod http;
 mod runner;
 mod spec;
 mod store;
+mod verbs;
 
 pub use fabric::{try_claim, ClaimGuard, FabricConfig, LeaseMode};
 pub use gc::{gc_pass, GcOptions, GcReport};

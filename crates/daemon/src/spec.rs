@@ -25,6 +25,7 @@
 use ftsim::harness::{Experiment, Workload};
 use ftsim_core::{MachineConfig, OracleMode, RedundancyConfig};
 use ftsim_faults::SiteMix;
+use ftsim_stats::json::MAX_DEPTH;
 use ftsim_stats::JsonValue;
 use std::fmt;
 
@@ -548,7 +549,7 @@ fn toml_to_json(text: &str) -> Result<JsonValue, SpecError> {
         if pairs.iter().any(|(k, _)| *k == key) {
             return Err(err("duplicate key"));
         }
-        pairs.push((key, toml_value(&value).map_err(|msg| err(&msg))?));
+        pairs.push((key, toml_value(&value, 0).map_err(|msg| err(&msg))?));
     }
     Ok(JsonValue::Obj(pairs))
 }
@@ -580,10 +581,15 @@ fn brackets_balanced(s: &str) -> bool {
     depth == 0
 }
 
-/// Parses one TOML scalar or array-of-scalars.
-fn toml_value(text: &str) -> Result<JsonValue, String> {
+/// Parses one TOML scalar or array-of-scalars nested `depth` arrays
+/// deep. Nesting is capped like the JSON parser's, so a spec cannot
+/// recurse the parser off its stack.
+fn toml_value(text: &str, depth: usize) -> Result<JsonValue, String> {
     let text = text.trim();
     if let Some(body) = text.strip_prefix('[') {
+        if depth == MAX_DEPTH {
+            return Err(format!("arrays nested deeper than {MAX_DEPTH} levels"));
+        }
         let body = body
             .strip_suffix(']')
             .ok_or_else(|| "unterminated array".to_string())?;
@@ -591,7 +597,7 @@ fn toml_value(text: &str) -> Result<JsonValue, String> {
         for part in split_array_items(body)? {
             let part = part.trim();
             if !part.is_empty() {
-                items.push(toml_value(part)?);
+                items.push(toml_value(part, depth + 1)?);
             }
         }
         return Ok(JsonValue::Arr(items));
@@ -833,5 +839,21 @@ mod tests {
         assert!(m.redundancy.majority);
         assert!(model_by_name("SS-0").is_none());
         assert!(model_by_name("turbo").is_none());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_syntax_error_not_a_crash() {
+        for text in [
+            format!("name = {}{}\n", "[".repeat(20_000), "]".repeat(20_000)),
+            format!("{{\"name\":{}", "[".repeat(20_000)),
+        ] {
+            let err = std::thread::Builder::new()
+                .stack_size(2 * 1024 * 1024)
+                .spawn(move || JobSpec::parse(&text).unwrap_err())
+                .unwrap()
+                .join()
+                .expect("parsing deep nesting must not overflow the stack");
+            assert!(matches!(err, SpecError::Syntax(_)), "{err}");
+        }
     }
 }

@@ -99,6 +99,25 @@ impl fmt::Display for DaemonError {
     }
 }
 
+impl DaemonError {
+    /// The HTTP status a route answers this error with:
+    ///
+    /// | Error                       | Status |
+    /// |-----------------------------|--------|
+    /// | `NoSuchJob`                 | 404    |
+    /// | `Spec`, `Experiment`        | 400    |
+    /// | `QuotaExceeded`             | 429 (plus `Retry-After`) |
+    /// | `Io`, `Corrupt`             | 500    |
+    pub fn http_status(&self) -> u16 {
+        match self {
+            DaemonError::NoSuchJob(_) => 404,
+            DaemonError::Spec(_) | DaemonError::Experiment(_) => 400,
+            DaemonError::QuotaExceeded { .. } => 429,
+            DaemonError::Io { .. } | DaemonError::Corrupt { .. } => 500,
+        }
+    }
+}
+
 impl std::error::Error for DaemonError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

@@ -278,3 +278,36 @@ fn remote_client_survives_a_lossy_transport() {
     }
     std::fs::remove_dir_all(&state).ok();
 }
+
+/// Local `report --watch` rides out flaky reads under the same retry
+/// budget as the HTTP stream: with EIO injected into half of the status
+/// and record reads, it still ends on the snapshot a clean run prints.
+#[test]
+fn local_report_watch_retries_flaky_reads() {
+    let state = state_dir("watch-retry");
+    let spec_path = state.join("job.toml");
+    std::fs::write(&spec_path, SPEC).unwrap();
+    let job_id = run_ok(&state, &["submit", spec_path.to_str().unwrap()])
+        .trim()
+        .to_string();
+    drain(&state, None);
+
+    let args = ["report", &job_id, "--watch", "--interval", "10"];
+    let clean = run_ok(&state, &args);
+    let flaky = ftsimd()
+        .args(args)
+        .args(["--state", state.to_str().unwrap()])
+        .env(
+            "FTSIM_CHAOS",
+            "11:eio@store.read_status=0.5,eio@fabric.cells.read=0.5",
+        )
+        .output()
+        .expect("spawn ftsimd");
+    assert!(
+        flaky.status.success(),
+        "report --watch gave up on transient EIO: {}",
+        String::from_utf8_lossy(&flaky.stderr)
+    );
+    assert_eq!(String::from_utf8(flaky.stdout).unwrap(), clean);
+    std::fs::remove_dir_all(&state).ok();
+}

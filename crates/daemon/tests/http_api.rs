@@ -6,6 +6,8 @@
 
 use ftsim::harness::{from_csv_tolerant, to_csv};
 use ftsim_daemon::JobSpec;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -48,6 +50,32 @@ fn remote_ok(cwd: &Path, addr: &str, args: &[&str]) -> String {
     let (ok, stdout) = remote(cwd, addr, args);
     assert!(ok, "ftsimd --remote {args:?} failed");
     stdout
+}
+
+/// Runs an ftsimd verb against a local state directory (`local` is
+/// `["--state", DIR]`), asserting success, and returns its stdout.
+fn local_ok(args: &[&str], local: [&str; 2]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_ftsimd"))
+        .args(args)
+        .args(local)
+        .output()
+        .expect("spawn ftsimd");
+    assert!(out.status.success(), "ftsimd {args:?} {local:?} failed");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// One raw HTTP exchange, returning the response status.
+fn http(addr: &str, method: &str, path: &str, body: &str) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("daemon still accepting");
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    reply.split_whitespace().nth(1).unwrap().parse().unwrap()
 }
 
 #[test]
@@ -129,6 +157,47 @@ fn all_verbs_work_over_http_with_no_client_filesystem_state() {
         report_json.contains("\"outcomes\""),
         "json report:\n{report_json}"
     );
+
+    // One verb layer: the same verbs run in process against the state
+    // directory print the same bytes.
+    let local = ["--state", state.to_str().unwrap()];
+    for args in [
+        vec!["jobs"],
+        vec!["status"],
+        vec!["status", &job_id],
+        vec!["results", &job_id],
+        vec!["results", &job_id, "--json"],
+        vec!["results", &job_id, "--watch", "--interval", "100"],
+        vec!["report", &job_id],
+        vec!["report", &job_id, "--json"],
+        vec!["report", &job_id, "--watch", "--interval", "100"],
+    ] {
+        assert_eq!(
+            local_ok(&args, local),
+            remote_ok(&scratch, &addr, &args),
+            "{args:?} differs between --state and --remote"
+        );
+    }
+
+    // GC drops the done job's cells.csv once results.csv seals it; a
+    // remote watch still ends with every record, backfilled from the
+    // canonical read.
+    local_ok(&["gc"], local);
+    assert!(!state.join("jobs").join(&job_id).join("cells.csv").exists());
+    let watched = remote_ok(
+        &scratch,
+        &addr,
+        &["results", &job_id, "--watch", "--interval", "100"],
+    );
+    let (rows, _) = from_csv_tolerant(&watched);
+    assert_eq!(rows.len(), 4, "watch backfilled after gc:\n{watched}");
+
+    // A ~40 KB spec nested 40,000 arrays deep is a 400, and the daemon
+    // keeps serving: the parser caps nesting instead of overflowing the
+    // connection thread's stack.
+    let deep = format!("{{\"name\":{}", "[".repeat(40_000));
+    assert_eq!(http(&addr, "POST", "/jobs", &deep), 400);
+    assert_eq!(http(&addr, "GET", "/healthz", ""), 200);
 
     // stop <job> pauses the job; stop shuts the daemon down.
     remote_ok(&scratch, &addr, &["stop", &job_id]);

@@ -117,9 +117,11 @@ impl Checkpoint {
     /// Rough retained size of this snapshot in bytes, for observability
     /// (checkpoint-volume metrics), **not** accounting. Counts the
     /// dominant terms — cache/TLB tag arrays from the configured
-    /// geometry, referenced memory pages (shared copy-on-write pages
-    /// count fully here, so repeated snapshots over-report), and the
-    /// occupied RUU/LSQ entries — and ignores small fixed-size state.
+    /// geometry, the memory pages no longer shared with the program's
+    /// initial image (pages the run has written; the image itself is
+    /// held once per program, not per snapshot), and the occupied
+    /// RUU/LSQ entries — and ignores small fixed-size state. A written
+    /// page that several snapshots still share counts in each of them.
     pub fn approx_bytes(&self) -> u64 {
         // Per cache line the simulator keeps a tag + state word besides
         // the data; ~16 bytes of metadata per line is close enough for a
@@ -130,7 +132,8 @@ impl Checkpoint {
         };
         let h = &self.config.hierarchy;
         let caches = cache(&h.il1) + cache(&h.dl1) + cache(&h.l2);
-        let pages = self.mem.page_count() as u64 * ftsim_mem::PAGE_BYTES as u64;
+        let written = self.mem.page_count() - self.program.image().pages_shared_with(&self.mem);
+        let pages = written as u64 * ftsim_mem::PAGE_BYTES as u64;
         // An RUU entry carries operands, results and per-copy check
         // state; ~256 bytes each. LSQ entries are lighter.
         let queues = self.ruu.len() as u64 * 256 + self.lsq.len() as u64 * 128;
@@ -234,7 +237,7 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
     use ftsim_faults::FaultInjector;
-    use ftsim_isa::asm;
+    use ftsim_isa::{asm, IntReg, ProgramBuilder, DATA_BASE};
 
     fn busy_program() -> Program {
         asm::assemble(
@@ -296,6 +299,43 @@ mod tests {
         assert!(
             cp.mem.pages_shared_with(proc.mem()) == proc.mem().page_count(),
             "snapshot must not deep-copy pages"
+        );
+    }
+
+    #[test]
+    fn approx_bytes_counts_written_pages_not_the_image() {
+        let program = |image_bytes: usize| {
+            let (r1, r3) = (IntReg::new(1), IntReg::new(3));
+            let mut b = ProgramBuilder::new();
+            b.addi(r1, IntReg::ZERO, 40);
+            b.addi(r3, IntReg::ZERO, 256);
+            b.label("loop");
+            b.sd(r1, r3, 0);
+            b.addi(r3, r3, 8);
+            b.addi(r1, r1, -1);
+            b.bne(r1, IntReg::ZERO, "loop");
+            b.halt();
+            b.data_bytes(DATA_BASE, &vec![0x5a; image_bytes]);
+            b.build().unwrap()
+        };
+        let (bare, imaged) = (program(0), program(16 * ftsim_mem::PAGE_BYTES));
+        let mut a = Processor::new(MachineConfig::ss2(), &bare, FaultInjector::none());
+        let mut b = Processor::new(MachineConfig::ss2(), &imaged, FaultInjector::none());
+        let fresh = a.snapshot().approx_bytes();
+        assert_eq!(
+            b.snapshot().approx_bytes(),
+            fresh,
+            "the image is not counted"
+        );
+        while !a.halted() {
+            a.cycle();
+            b.cycle();
+        }
+        let done = a.snapshot().approx_bytes();
+        assert_eq!(b.snapshot().approx_bytes(), done);
+        assert!(
+            done >= fresh + ftsim_mem::PAGE_BYTES as u64,
+            "the stored page counts"
         );
     }
 

@@ -110,8 +110,7 @@ impl Processor {
         config
             .validate()
             .expect("invalid machine configuration (use SimBuilder to surface this as an error)");
-        let mut mem = SparseMemory::new();
-        program.load_data(&mut mem);
+        let mem = program.image().memory();
         Self {
             now: 0,
             next_seq: 0,
@@ -278,7 +277,7 @@ impl Processor {
         }
         fold(self.committed_next_pc);
         fold(u64::from(self.halted));
-        self.mem.content_digest(h)
+        self.mem.content_digest_with(h, self.program.image())
     }
 
     /// Statistics gathered so far. Cache/fetch counters are synchronized
@@ -601,6 +600,47 @@ mod tests {
         let legacy = proc.stats().clone();
         assert_eq!(legacy.retired_instructions, s.retired_instructions);
         assert_eq!(legacy.fetched, s.fetched);
+    }
+
+    #[test]
+    fn shared_image_machine_equals_load_data_machine() {
+        // Data on three pages (one all zero); the loop stores into the
+        // first, so it peels off the image while the others stay shared.
+        let (r1, r2) = (IntReg::new(1), IntReg::new(2));
+        let mut b = ProgramBuilder::new();
+        b.li(r1, ftsim_isa::DATA_BASE as i64);
+        b.addi(r2, IntReg::ZERO, 6);
+        b.label("loop");
+        b.sd(r2, r1, 8);
+        b.addi(r2, r2, -1);
+        b.bne(r2, IntReg::ZERO, "loop");
+        b.halt();
+        b.data_u64(ftsim_isa::DATA_BASE, &[1, 2, 3]);
+        b.data_bytes(ftsim_isa::DATA_BASE + 0x1000, &[0; 64]);
+        b.data_u64(ftsim_isa::DATA_BASE + 0x2ff8, &[u64::MAX, 5]);
+        let p = Arc::new(b.build().unwrap());
+        let shared = || {
+            Processor::with_shared_program(
+                MachineConfig::ss2(),
+                Arc::clone(&p),
+                FaultInjector::none(),
+            )
+        };
+        let mut a = shared();
+        let mut b = shared();
+        b.mem = SparseMemory::new();
+        p.load_data(&mut b.mem);
+        for _ in 0..2 {
+            assert_eq!(a.mem.page_count(), b.mem.page_count());
+            assert!(a.mem.diff(&b.mem, 4).is_empty());
+            assert_eq!(a.state_digest(), b.state_digest());
+            while !a.halted() {
+                a.cycle();
+                b.cycle();
+            }
+        }
+        assert_eq!(p.image().pages_shared_with(&a.mem), 3);
+        assert_eq!(p.image().pages_shared_with(&b.mem), 0);
     }
 
     #[test]

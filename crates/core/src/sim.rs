@@ -338,7 +338,7 @@ impl Simulator {
     /// [`SimError::Oracle`] if the emulator cannot replay the program.
     pub fn verify_against_oracle(&mut self) -> Result<(), SimError> {
         let retired = self.proc.stats.retired_instructions;
-        let mut emu = Emulator::new(&self.program);
+        let mut emu = Emulator::with_shared_program(Arc::clone(&self.program));
         let executed = emu.run_steps(retired).map_err(SimError::Oracle)?;
         if executed != retired {
             return Err(SimError::OracleMismatch {

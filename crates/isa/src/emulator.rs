@@ -14,6 +14,7 @@ use crate::program::Program;
 use crate::reg::ArchRegs;
 use ftsim_mem::SparseMemory;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error conditions of the reference emulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +82,7 @@ pub struct StepInfo {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Emulator {
-    program: Program,
+    program: Arc<Program>,
     regs: ArchRegs,
     mem: SparseMemory,
     pc: u64,
@@ -93,13 +94,18 @@ impl Emulator {
     /// Creates an emulator with the program's data image loaded and the PC
     /// at the entry point.
     pub fn new(program: &Program) -> Self {
-        let mut mem = SparseMemory::new();
-        program.load_data(&mut mem);
+        Self::with_shared_program(Arc::new(program.clone()))
+    }
+
+    /// As [`Emulator::new`], over an already-shared program: no copy of
+    /// the program, and the memory starts from the program's
+    /// [`image`](Program::image) by reference-count bumps.
+    pub fn with_shared_program(program: Arc<Program>) -> Self {
         Self {
             pc: program.entry(),
-            program: program.clone(),
+            mem: program.image().memory(),
+            program,
             regs: ArchRegs::new(),
-            mem,
             retired: 0,
             halted: false,
         }
@@ -322,6 +328,37 @@ mod tests {
         assert_eq!(e.run_steps(10).unwrap(), 1);
         assert!(e.halted());
         assert_eq!(e.retired(), 3);
+    }
+
+    #[test]
+    fn shared_emulator_equals_load_data_memory() {
+        let mut b = ProgramBuilder::new();
+        b.li(r(1), DATA_BASE as i64);
+        b.ld(r(2), r(1), 0);
+        b.sd(r(2), r(1), 0x1008);
+        b.halt();
+        b.data_u64(DATA_BASE, &[0xfeed]);
+        b.data_u64(DATA_BASE + 0x1000, &[3]);
+        let p = Arc::new(b.build().unwrap());
+        let mut loaded = SparseMemory::new();
+        p.load_data(&mut loaded);
+        let mut copied = Emulator::new(&p);
+        let mut shared = Emulator::with_shared_program(Arc::clone(&p));
+        assert_eq!(p.image().pages_shared_with(shared.mem()), 2);
+        for e in [&copied, &shared] {
+            assert_eq!(e.mem().page_count(), loaded.page_count());
+            assert!(e.mem().diff(&loaded, 4).is_empty());
+            assert_eq!(e.mem().content_digest(9), loaded.content_digest(9));
+        }
+        copied.run(100).unwrap();
+        shared.run(100).unwrap();
+        assert!(copied.mem().diff(shared.mem(), 4).is_empty());
+        assert_eq!(shared.mem().read_u64(DATA_BASE + 0x1008), 0xfeed);
+        assert_eq!(
+            p.image().pages_shared_with(shared.mem()),
+            1,
+            "the stored page peeled off"
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use crate::inst::Inst;
 use crate::op::Opcode;
 use crate::reg::{FpReg, IntReg};
-use ftsim_mem::SparseMemory;
+use ftsim_mem::{PageImage, SparseMemory};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Base address of the text (instruction) segment.
 pub const TEXT_BASE: u64 = 0x1000;
@@ -33,10 +34,29 @@ pub const INST_BYTES: usize = 4;
 /// assert!(p.inst_at(TEXT_BASE).is_some());
 /// assert!(p.inst_at(TEXT_BASE - 4).is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Program {
     insts: Vec<Inst>,
     data: Vec<(u64, Vec<u8>)>,
+    /// The data image as pages, built on first use by
+    /// [`Program::image`]; a clone shares it once built. Equality and
+    /// `Debug` ignore it: it is a function of `data`.
+    image: OnceLock<Arc<PageImage>>,
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.insts == other.insts && self.data == other.data
+    }
+}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("insts", &self.insts)
+            .field("data", &self.data)
+            .finish()
+    }
 }
 
 impl Program {
@@ -45,6 +65,7 @@ impl Program {
         Self {
             insts: insts.into_iter().collect(),
             data: Vec::new(),
+            image: OnceLock::new(),
         }
     }
 
@@ -91,10 +112,21 @@ impl Program {
     /// Writes the initial data image into `mem`.
     pub fn load_data(&self, mem: &mut SparseMemory) {
         for (addr, bytes) in &self.data {
-            for (i, &b) in bytes.iter().enumerate() {
-                mem.write_u8(addr + i as u64, b);
-            }
+            mem.write_slice(*addr, bytes);
         }
+    }
+
+    /// The initial data image as immutable shared pages, loaded with
+    /// [`Program::load_data`] on the first call and kept for the
+    /// program's lifetime. Every machine that runs this program starts
+    /// its memory from it ([`PageImage::memory`]) instead of loading the
+    /// data again.
+    pub fn image(&self) -> &PageImage {
+        self.image.get_or_init(|| {
+            let mut mem = SparseMemory::new();
+            self.load_data(&mut mem);
+            Arc::new(PageImage::new(mem))
+        })
     }
 
     /// The raw initial data image as `(address, bytes)` chunks.
@@ -492,6 +524,7 @@ impl ProgramBuilder {
         Ok(Program {
             insts: self.insts,
             data: self.data,
+            image: OnceLock::new(),
         })
     }
 }
@@ -565,6 +598,34 @@ mod tests {
         assert_eq!(mem.read_u64(DATA_BASE), 0xdead);
         assert_eq!(mem.read_u64(DATA_BASE + 8), 0xbeef);
         assert_eq!(f64::from_bits(mem.read_u64(DATA_BASE + 64)), 1.5);
+    }
+
+    #[test]
+    fn image_equals_load_data_and_is_shared_by_clones() {
+        let mut b = ProgramBuilder::new();
+        b.halt();
+        b.data_u64(DATA_BASE + 0xff8, &[u64::MAX, 0x1234]); // straddles a page
+        b.data_bytes(DATA_BASE + 0x5000, &[0; 16]); // an all-zero page
+        b.data_u64(DATA_BASE + 0x10, &[7]);
+        let p = b.build().unwrap();
+        let unbuilt = p.clone();
+        let mut loaded = SparseMemory::new();
+        p.load_data(&mut loaded);
+        let from_image = p.image().memory();
+        assert_eq!(from_image.page_count(), loaded.page_count());
+        assert_eq!(loaded.page_count(), 3);
+        assert!(from_image.diff(&loaded, 4).is_empty());
+        assert_eq!(from_image.content_digest(1), loaded.content_digest(1));
+        assert_eq!(
+            from_image.content_digest_with(1, p.image()),
+            loaded.content_digest(1)
+        );
+        assert!(
+            std::ptr::eq(p.image(), p.clone().image()),
+            "a clone shares the built image"
+        );
+        assert_eq!(p, unbuilt, "equality ignores whether the image is built");
+        assert_eq!(format!("{p:?}"), format!("{unbuilt:?}"));
     }
 
     #[test]

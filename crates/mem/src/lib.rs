@@ -14,6 +14,8 @@
 //!   memory that also serves as the *committed architectural memory* (the
 //!   paper assumes all committed state is ECC-protected; correspondingly the
 //!   fault injector never targets this structure);
+//! * [`PageImage`] — an immutable, thread-shared page image (a program's
+//!   initial data) that memories start from copy-on-write;
 //! * [`Cache`] — a set-associative, write-back/write-allocate, LRU cache
 //!   timing model;
 //! * [`Tlb`] — a page-granularity translation cache;
@@ -47,6 +49,6 @@ mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheOutcome, CacheStats};
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyConfig, LatencyConfig};
-pub use memory::{MemDiff, SparseMemory, PAGE_BYTES};
+pub use memory::{MemDiff, PageImage, SparseMemory, PAGE_BYTES};
 pub use ports::PortSet;
 pub use tlb::{Tlb, TlbConfig};

@@ -2,10 +2,17 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bytes per memory page.
 pub const PAGE_BYTES: usize = 4096;
+
+type Page = [u8; PAGE_BYTES];
+
+/// The 64-bit FNV-1a prime [`SparseMemory::content_digest`] multiplies by.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Sentinel for "no page cached" (no reachable address maps to this page
 /// number: the largest byte address yields page `u64::MAX / PAGE_BYTES`).
@@ -52,7 +59,7 @@ pub struct SparseMemory {
     index: BTreeMap<u64, usize>,
     /// Page storage; slots are stable (pages are never removed). Shared
     /// copy-on-write with any clone of this memory.
-    pages: Vec<Arc<[u8; PAGE_BYTES]>>,
+    pages: Vec<Arc<Page>>,
     /// Last-translated `(page number, arena slot)`; `NO_PAGE` when cold.
     /// Interior mutability lets plain reads refresh the cache.
     last: Cell<(u64, usize)>,
@@ -146,16 +153,16 @@ impl SparseMemory {
         buf
     }
 
-    /// Writes `N` little-endian bytes starting at `addr`.
-    fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        let (p, off) = Self::page_index(addr);
-        if off + bytes.len() <= PAGE_BYTES {
+    /// Writes `bytes` starting at `addr`, one copy per page touched.
+    pub fn write_slice(&mut self, addr: u64, bytes: &[u8]) {
+        let (mut addr, mut rest) = (addr, bytes);
+        while !rest.is_empty() {
+            let (p, off) = Self::page_index(addr);
+            let n = rest.len().min(PAGE_BYTES - off);
             let slot = self.slot_of_or_alloc(p);
-            Arc::make_mut(&mut self.pages[slot])[off..off + bytes.len()].copy_from_slice(bytes);
-            return;
-        }
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
+            Arc::make_mut(&mut self.pages[slot])[off..off + n].copy_from_slice(&rest[..n]);
+            addr = addr.wrapping_add(n as u64);
+            rest = &rest[n..];
         }
     }
 
@@ -176,17 +183,17 @@ impl SparseMemory {
 
     /// Writes a little-endian `u16`.
     pub fn write_u16(&mut self, addr: u64, value: u16) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_slice(addr, &value.to_le_bytes());
     }
 
     /// Writes a little-endian `u32`.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_slice(addr, &value.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_slice(addr, &value.to_le_bytes());
     }
 
     /// Reads `size` bytes (1, 2, 4 or 8) zero-extended into a `u64`.
@@ -249,20 +256,27 @@ impl SparseMemory {
     /// all-zero pages happen to be allocated — the property the outcome
     /// classifier relies on when comparing a faulty run's committed state
     /// against its family's fault-free baseline.
-    pub fn content_digest(&self, mut hash: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
+    pub fn content_digest(&self, hash: u64) -> u64 {
+        self.digest_pages(hash, &[])
+    }
+
+    /// [`SparseMemory::content_digest`], with every page that is still
+    /// the very page of `image` in its slot (a pristine page, never
+    /// written since this memory was made from `image`) folded through
+    /// the image's memo instead of byte by byte. The value is the same.
+    pub fn content_digest_with(&self, hash: u64, image: &PageImage) -> u64 {
+        self.digest_pages(hash, &image.pages)
+    }
+
+    fn digest_pages(&self, mut hash: u64, image: &[ImagePage]) -> u64 {
+        let mut image = image.iter().peekable();
         for (&page, &slot) in &self.index {
-            let base = page * PAGE_BYTES as u64;
-            for (off, &byte) in self.pages[slot].iter().enumerate() {
-                if byte == 0 {
-                    continue;
-                }
-                let addr = base + off as u64;
-                for b in addr.to_le_bytes() {
-                    hash = (hash ^ u64::from(b)).wrapping_mul(PRIME);
-                }
-                hash = (hash ^ u64::from(byte)).wrapping_mul(PRIME);
-            }
+            while image.next_if(|ip| ip.number < page).is_some() {}
+            let bytes = &self.pages[slot];
+            hash = match image.peek() {
+                Some(ip) if ip.number == page && Arc::ptr_eq(&ip.bytes, bytes) => ip.chain(hash),
+                _ => page_chain(page, bytes, hash),
+            };
         }
         hash
     }
@@ -282,8 +296,13 @@ impl SparseMemory {
             .copied()
             .collect();
         for p in pages {
-            let a = self.index.get(&p).map_or(&zero, |&s| &*self.pages[s]);
-            let b = other.index.get(&p).map_or(&zero, |&s| &*other.pages[s]);
+            let a = self.index.get(&p).map(|&s| &self.pages[s]);
+            let b = other.index.get(&p).map(|&s| &other.pages[s]);
+            // Pages that are one page on both sides cannot differ.
+            if matches!((a, b), (Some(a), Some(b)) if Arc::ptr_eq(a, b)) {
+                continue;
+            }
+            let (a, b) = (a.map_or(&zero, |a| &**a), b.map_or(&zero, |b| &**b));
             if a == b {
                 continue;
             }
@@ -304,6 +323,139 @@ impl SparseMemory {
             }
         }
         out
+    }
+}
+
+/// The FNV-1a chain of one page's nonzero bytes: for each, in offset
+/// order, the eight little-endian bytes of its address, then its value.
+///
+/// Address bytes 2–7 are the same for every byte of a page, and the zero
+/// ones at the top each multiply the hash by the prime (`(h ^ 0)·P`).
+/// Those trailing multiplies fold exactly into the step before them: the
+/// last address byte hashed on its own multiplies by `P^(k+1)`, where `k`
+/// is the number of high zero bytes.
+fn page_chain(number: u64, bytes: &Page, mut hash: u64) -> u64 {
+    let base = number * PAGE_BYTES as u64;
+    // `base >> 16` has at most 48 significant bits, so at least 16
+    // leading zeros; each further zero byte is a high zero address byte.
+    let high_zeros = ((base >> 16).leading_zeros() / 8 - 2) as usize;
+    let last = 7 - high_zeros;
+    let fold = FNV_PRIME.wrapping_pow(high_zeros as u32 + 1);
+    for (off, &byte) in bytes.iter().enumerate() {
+        if byte == 0 {
+            continue;
+        }
+        let addr = (base + off as u64).to_le_bytes();
+        for &b in &addr[..last] {
+            hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        hash = (hash ^ u64::from(addr[last])).wrapping_mul(fold);
+        hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// An immutable memory image that threads share: the initial data image
+/// of a program, loaded once and handed to every machine that runs it.
+///
+/// [`PageImage::memory`] makes a [`SparseMemory`] whose pages *are* the
+/// image's pages (reference-count bumps, no copies); a write then peels
+/// the touched page off copy-on-write, so a memory page that is still
+/// [`Arc::ptr_eq`] with the image page in its slot holds exactly the
+/// image's bytes.
+///
+/// Each page also carries a memo of its digest chain, which
+/// [`SparseMemory::content_digest_with`] uses for such pristine pages.
+/// One FNV-1a step with `b < 256` and `l = h & 0xff` satisfies
+/// `(h ^ b)·M = (h − l)·M + (l ^ b)·M`, and `h − l` has a zero low byte,
+/// so by induction over a page's `n = 9 × nonzero bytes` steps
+/// `chain(h) = (h − l)·P^n + chain(l)`: 256 memoized values per page
+/// answer every incoming hash. The memo caches a pure function of the
+/// page's bytes; it is never machine state.
+pub struct PageImage {
+    /// In ascending page-number order.
+    pages: Vec<ImagePage>,
+}
+
+struct ImagePage {
+    number: u64,
+    bytes: Arc<Page>,
+    /// `P^n` for the page's `n` FNV-1a steps.
+    span: u64,
+    /// `memo[l]` is `page_chain(number, bytes, l)`; 0 means not cached.
+    memo: Box<[AtomicU64]>,
+}
+
+impl ImagePage {
+    /// `page_chain(self.number, &self.bytes, hash)`, from the memo when
+    /// it holds the chain of `hash`'s low byte, filling it otherwise.
+    fn chain(&self, hash: u64) -> u64 {
+        let low = hash & 0xff;
+        let high = (hash - low).wrapping_mul(self.span);
+        // Relaxed: a slot publishes nothing but its own value, and any
+        // nonzero value a reader sees is the correct one.
+        let slot = &self.memo[low as usize];
+        match slot.load(Ordering::Relaxed) {
+            // A chain that really is 0 is recomputed every time.
+            0 => {
+                let chained = page_chain(self.number, &self.bytes, hash);
+                slot.store(chained.wrapping_sub(high), Ordering::Relaxed);
+                chained
+            }
+            memo => high.wrapping_add(memo),
+        }
+    }
+}
+
+impl PageImage {
+    /// Freezes `mem` into an image, keeping exactly its allocated pages.
+    pub fn new(mem: SparseMemory) -> Self {
+        let pages = mem
+            .index
+            .iter()
+            .map(|(&number, &slot)| {
+                let bytes = Arc::clone(&mem.pages[slot]);
+                let steps = 9 * bytes.iter().filter(|&&b| b != 0).count() as u32;
+                ImagePage {
+                    number,
+                    bytes,
+                    span: FNV_PRIME.wrapping_pow(steps),
+                    memo: (0..256).map(|_| AtomicU64::new(0)).collect(),
+                }
+            })
+            .collect();
+        Self { pages }
+    }
+
+    /// A memory holding this image, sharing its pages copy-on-write.
+    pub fn memory(&self) -> SparseMemory {
+        SparseMemory {
+            index: (self.pages.iter().enumerate())
+                .map(|(slot, p)| (p.number, slot))
+                .collect(),
+            pages: self.pages.iter().map(|p| Arc::clone(&p.bytes)).collect(),
+            last: Cell::new((NO_PAGE, 0)),
+        }
+    }
+
+    /// Number of `mem`'s pages that are still this image's own pages.
+    pub fn pages_shared_with(&self, mem: &SparseMemory) -> usize {
+        self.pages
+            .iter()
+            .filter(|p| {
+                mem.index
+                    .get(&p.number)
+                    .is_some_and(|&slot| Arc::ptr_eq(&p.bytes, &mem.pages[slot]))
+            })
+            .count()
+    }
+}
+
+impl fmt::Debug for PageImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PageImage")
+            .field("pages", &self.pages.len())
+            .finish()
     }
 }
 

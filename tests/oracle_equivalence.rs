@@ -2,9 +2,12 @@
 //! architectural state is bit-exact against the in-order oracle — on every
 //! machine model, for every synthetic benchmark and kernel.
 
-use ftsim::core::{MachineConfig, OracleMode, SimResult, Simulator};
-use ftsim::isa::Program;
+use ftsim::core::{MachineConfig, OracleMode, Processor, SimResult, Simulator};
+use ftsim::faults::FaultInjector;
+use ftsim::isa::{Emulator, Program};
+use ftsim::mem::SparseMemory;
 use ftsim::workloads::{dot_product, fibonacci, pointer_chase, spec_profiles};
+use std::sync::Arc;
 
 fn run_checked(config: MachineConfig, program: &Program, name: &str) -> SimResult {
     Simulator::builder()
@@ -27,6 +30,37 @@ fn all_benchmarks_match_oracle_on_all_models() {
             let name = format!("{} on {}", p.name, config.name);
             let r = run_checked(config, &program, &name);
             assert!(r.halted, "{name} did not halt");
+        }
+    }
+}
+
+#[test]
+fn shared_image_machines_equal_load_data_memory() {
+    // gcc's 512 KB image: the processor and the oracle start from the
+    // program's shared pages, which must hold exactly what loading the
+    // data byte for byte produces, and digest the same.
+    let gcc = spec_profiles()
+        .into_iter()
+        .find(|p| p.name == "gcc")
+        .expect("gcc profile");
+    let program = Arc::new(gcc.program_for_instructions(1_000));
+    let mut loaded = SparseMemory::new();
+    program.load_data(&mut loaded);
+    let proc = Processor::with_shared_program(
+        MachineConfig::ss2(),
+        Arc::clone(&program),
+        FaultInjector::none(),
+    );
+    let emu = Emulator::with_shared_program(Arc::clone(&program));
+    for mem in [proc.mem(), emu.mem()] {
+        assert_eq!(mem.page_count(), loaded.page_count());
+        assert!(mem.diff(&loaded, 4).is_empty());
+        for hash in [0, 0xcbf2_9ce4_8422_2325] {
+            assert_eq!(mem.content_digest(hash), loaded.content_digest(hash));
+            assert_eq!(
+                mem.content_digest_with(hash, program.image()),
+                loaded.content_digest(hash)
+            );
         }
     }
 }
